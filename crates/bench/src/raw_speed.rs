@@ -8,7 +8,10 @@
 //!
 //! 1. **factor** — `dgbtrf_batch` through the dispatcher;
 //! 2. **solve** — `dgbtrs_batch` on the factored batch;
-//! 3. **interleaved** — `dgbsv_batch` pinned to the interleaved layout;
+//! 3. **interleaved** — `dgbsv_batch` with the interleaved layout
+//!    requested. At this order with one right-hand side the dispatcher
+//!    takes the fused single-kernel GBSV before it consults the layout,
+//!    so this entry measures fused GBSV, not the interleaved kernels;
 //! 4. **serve flush** — one [`GpuBackend`] flush of the same batch, where
 //!    the resident number is the *steady state* (second flush) and the
 //!    one-time pool spin-up is reported separately as `serve_spinup_ms`;
@@ -233,7 +236,10 @@ pub struct RawSpeedReport {
     pub factor: EngineSample,
     /// `dgbtrs_batch` on the factored batch.
     pub solve: EngineSample,
-    /// `dgbsv_batch` pinned to the interleaved layout.
+    /// `dgbsv_batch` with the interleaved layout requested. The fused
+    /// single-kernel GBSV is decided before the layout, so at the
+    /// trajectory's order and single right-hand side this measures
+    /// fused GBSV.
     pub interleaved: EngineSample,
     /// One `GpuBackend` flush (resident number = steady state).
     pub serve_flush: EngineSample,

@@ -10,7 +10,7 @@
 
 use crate::batch::BandBatch;
 use crate::layout::BandLayout;
-use crate::scalar::Precision;
+use crate::scalar::{Precision, Scalar};
 use crate::spike::SpikeFactor;
 
 /// Factored band payload at the precision the factorization ran at.
@@ -39,25 +39,55 @@ pub struct RetainedFactor {
     pub pivots: Vec<i32>,
 }
 
-impl RetainedFactor {
-    /// Harvest one lane out of a factored batch (`f64`).
-    #[must_use]
-    pub fn from_lane_f64(a: &BandBatch<f64>, piv: &[i32], lane: usize) -> Self {
-        let stride = a.matrix_stride();
-        RetainedFactor {
-            layout: a.layout(),
-            payload: FactorPayload::F64(a.data()[lane * stride..(lane + 1) * stride].to_vec()),
-            pivots: piv.to_vec(),
-        }
-    }
+/// Maps a precision onto its [`FactorPayload`] variants, so retention and
+/// replay are written once for both. Implemented for exactly `f32` and
+/// `f64` (sealed through its [`Scalar`] supertrait).
+pub trait PayloadScalar: Scalar {
+    /// Wrap monolithic band factors.
+    fn band_payload(ab: Vec<Self>) -> FactorPayload;
+    /// Wrap a SPIKE factorization.
+    fn spike_payload(f: SpikeFactor<Self>) -> FactorPayload;
+    /// The monolithic band factors, when `p` holds them at this precision.
+    fn band_of(p: &FactorPayload) -> Option<&[Self]>;
+    /// The SPIKE factorization, when `p` holds one at this precision.
+    fn spike_of(p: &FactorPayload) -> Option<&SpikeFactor<Self>>;
+}
 
-    /// Harvest one lane out of a factored batch (`f32`).
+macro_rules! payload_scalar {
+    ($s:ty, $band:ident, $spike:ident) => {
+        impl PayloadScalar for $s {
+            fn band_payload(ab: Vec<Self>) -> FactorPayload {
+                FactorPayload::$band(ab)
+            }
+            fn spike_payload(f: SpikeFactor<Self>) -> FactorPayload {
+                FactorPayload::$spike(Box::new(f))
+            }
+            fn band_of(p: &FactorPayload) -> Option<&[Self]> {
+                match p {
+                    FactorPayload::$band(v) => Some(v),
+                    _ => None,
+                }
+            }
+            fn spike_of(p: &FactorPayload) -> Option<&SpikeFactor<Self>> {
+                match p {
+                    FactorPayload::$spike(f) => Some(f),
+                    _ => None,
+                }
+            }
+        }
+    };
+}
+payload_scalar!(f64, F64, SpikeF64);
+payload_scalar!(f32, F32, SpikeF32);
+
+impl RetainedFactor {
+    /// Harvest one lane out of a factored batch.
     #[must_use]
-    pub fn from_lane_f32(a: &BandBatch<f32>, piv: &[i32], lane: usize) -> Self {
+    pub fn from_lane<S: PayloadScalar>(a: &BandBatch<S>, piv: &[i32], lane: usize) -> Self {
         let stride = a.matrix_stride();
         RetainedFactor {
             layout: a.layout(),
-            payload: FactorPayload::F32(a.data()[lane * stride..(lane + 1) * stride].to_vec()),
+            payload: S::band_payload(a.data()[lane * stride..(lane + 1) * stride].to_vec()),
             pivots: piv.to_vec(),
         }
     }
@@ -71,45 +101,29 @@ impl RetainedFactor {
         }
     }
 
-    /// The `f64` monolithic band factors, when retained at double
-    /// precision (`None` for SPIKE payloads — those solve through
-    /// [`crate::spike::spike_solve_retained`]).
+    /// The monolithic band factors at precision `S` (`None` for SPIKE
+    /// payloads — those solve through
+    /// [`crate::spike::spike_solve_retained`] — or another precision).
     #[must_use]
-    pub fn factors_f64(&self) -> Option<&[f64]> {
-        match &self.payload {
-            FactorPayload::F64(v) => Some(v),
-            _ => None,
-        }
+    pub fn factors<S: PayloadScalar>(&self) -> Option<&[S]> {
+        S::band_of(&self.payload)
     }
 
-    /// The `f32` monolithic band factors, when retained at single
-    /// precision.
+    /// The retained SPIKE factorization at precision `S`, when the
+    /// operator was split.
     #[must_use]
-    pub fn factors_f32(&self) -> Option<&[f32]> {
-        match &self.payload {
-            FactorPayload::F32(v) => Some(v),
-            _ => None,
-        }
+    pub fn spike<S: PayloadScalar>(&self) -> Option<&SpikeFactor<S>> {
+        S::spike_of(&self.payload)
     }
 
-    /// The retained SPIKE factorization, when the operator was split
-    /// (`f64`).
+    /// Whether the operator was retained as a SPIKE split factorization
+    /// (at either precision).
     #[must_use]
-    pub fn spike_f64(&self) -> Option<&SpikeFactor<f64>> {
-        match &self.payload {
-            FactorPayload::SpikeF64(f) => Some(f),
-            _ => None,
-        }
-    }
-
-    /// The retained SPIKE factorization, when the operator was split
-    /// (`f32`).
-    #[must_use]
-    pub fn spike_f32(&self) -> Option<&SpikeFactor<f32>> {
-        match &self.payload {
-            FactorPayload::SpikeF32(f) => Some(f),
-            _ => None,
-        }
+    pub fn is_spike(&self) -> bool {
+        matches!(
+            self.payload,
+            FactorPayload::SpikeF64(_) | FactorPayload::SpikeF32(_)
+        )
     }
 
     /// Retained footprint in bytes (payload + pivots) — what a cache's
@@ -153,14 +167,15 @@ mod tests {
             assert_eq!(gbtf2(&l, ab, &mut pivots[k]), 0);
         }
         let lane = 1;
-        let retained = RetainedFactor::from_lane_f64(&a, &pivots[lane], lane);
+        let retained = RetainedFactor::from_lane(&a, &pivots[lane], lane);
         assert_eq!(retained.precision(), Precision::F64);
         assert_eq!(
-            retained.factors_f64().unwrap(),
+            retained.factors::<f64>().unwrap(),
             &a.data()[lane * stride..(lane + 1) * stride]
         );
         assert_eq!(retained.pivots, pivots[lane]);
-        assert!(retained.factors_f32().is_none());
+        assert!(retained.factors::<f32>().is_none());
+        assert!(retained.spike::<f64>().is_none() && !retained.is_spike());
         assert_eq!(
             retained.bytes(),
             stride * std::mem::size_of::<f64>() + n * std::mem::size_of::<i32>()
@@ -181,7 +196,8 @@ mod tests {
             pivots: vec![0; 4],
         };
         assert_eq!(f32_side.precision(), Precision::F32);
-        assert!(f32_side.factors_f32().is_some());
+        assert!(f32_side.factors::<f32>().is_some());
+        assert!(f32_side.factors::<f64>().is_none());
         assert_eq!(
             f64_side.bytes() - f32_side.bytes(),
             l.len() * std::mem::size_of::<f32>()

@@ -12,6 +12,7 @@
 //! sides (Fig. 9/Table 3) — RHS traffic dominates once `nrhs` grows.
 
 use gbatch_core::layout::BandLayout;
+use gbatch_core::Scalar;
 use serde::{Deserialize, Serialize};
 
 /// Descriptor of the multicore CPU.
@@ -124,6 +125,13 @@ pub fn gbtrs_bytes(l: &BandLayout, nrhs: usize) -> f64 {
     let band = (l.len() * 8) as f64;
     let rhs = (4 * l.n * nrhs * 8) as f64;
     band + rhs
+}
+
+/// A byte count from [`gbtrf_bytes`] / [`gbtrs_bytes`] (which assume
+/// `f64` elements) rescaled to precision `S`: an `f32` pass moves half the
+/// bytes at the same flops.
+pub fn bytes_at<S: Scalar>(f64_bytes: f64) -> f64 {
+    f64_bytes * (S::BYTES as f64 / 8.0)
 }
 
 #[cfg(test)]

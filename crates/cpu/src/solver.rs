@@ -1,15 +1,17 @@
 //! Multicore batched band solver (the "mkl + openmp" baseline).
 //!
 //! The batch is split into contiguous chunks, one per worker thread
-//! (OpenMP static schedule); each worker runs the sequential LAPACK-style
+//! (OpenMP static schedule; the modeled core count, capped at the host's
+//! available parallelism); each worker runs the sequential LAPACK-style
 //! routines of `gbatch-core` on its matrices. Results are bit-identical to
 //! the sequential reference regardless of the thread count, because
 //! matrices are independent.
 
-use crate::model::{gbtrf_bytes, gbtrf_flops, gbtrs_bytes, gbtrs_flops, CpuSpec};
+use crate::model::{bytes_at, gbtrf_bytes, gbtrf_flops, gbtrs_bytes, gbtrs_flops, CpuSpec};
 use gbatch_core::batch::{BandBatch, InfoArray, PivotBatch, RhsBatch};
 use gbatch_core::gbtrs::Transpose;
 use gbatch_core::layout::BandLayout;
+use gbatch_core::Scalar;
 
 /// Result of a CPU batched routine.
 #[derive(Debug, Clone, Copy)]
@@ -23,12 +25,16 @@ pub struct CpuReport {
 
 /// Run `work(id)` for every problem id, statically chunked over `threads`
 /// workers. The closure only receives disjoint data through the index, so
-/// each worker wraps its own mutable chunk.
+/// each worker wraps its own mutable chunk. `threads` (the modeled core
+/// count) is capped at the host's available parallelism: spawning more
+/// OS threads than the host runs at once only adds spawn and switch cost,
+/// and the per-problem results do not depend on the chunking.
 fn parallel_chunks<T: Send, F>(items: &mut [T], threads: usize, work: F)
 where
     F: Fn(usize, &mut T) + Sync,
 {
-    let threads = threads.max(1).min(items.len().max(1));
+    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let threads = threads.max(1).min(host).min(items.len().max(1));
     if threads <= 1 {
         for (id, item) in items.iter_mut().enumerate() {
             work(id, item);
@@ -107,12 +113,15 @@ pub fn cpu_gbtrs_batch(
     }
 }
 
-/// Batched band factorize-and-solve on the CPU (`DGBSV` per matrix).
-pub fn cpu_gbsv_batch(
+/// Batched band factorize-and-solve on the CPU (`xGBSV` per matrix), at
+/// the batch's precision. The model charges the same flops at either
+/// precision and scales the memory traffic by the element width, so an
+/// `f32` batch moves half the bytes of an `f64` one.
+pub fn cpu_gbsv_batch<S: Scalar>(
     cpu: &CpuSpec,
-    a: &mut BandBatch,
+    a: &mut BandBatch<S>,
     piv: &mut PivotBatch,
-    rhs: &mut RhsBatch,
+    rhs: &mut RhsBatch<S>,
     info: &mut InfoArray,
 ) -> CpuReport {
     let l = a.layout();
@@ -122,13 +131,13 @@ pub fn cpu_gbsv_batch(
     assert_eq!(info.len(), batch);
     let (nrhs, ldb) = (rhs.nrhs(), rhs.ldb());
     let start = std::time::Instant::now();
-    struct Prob<'a> {
-        ab: &'a mut [f64],
+    struct Prob<'a, S> {
+        ab: &'a mut [S],
         piv: &'a mut [i32],
-        b: &'a mut [f64],
+        b: &'a mut [S],
         info: &'a mut i32,
     }
-    let mut probs: Vec<Prob<'_>> = a
+    let mut probs: Vec<Prob<'_, S>> = a
         .chunks_mut()
         .zip(piv.chunks_mut())
         .zip(rhs.blocks_mut())
@@ -139,7 +148,7 @@ pub fn cpu_gbsv_batch(
         *p.info = gbatch_core::gbsv::gbsv(&l, p.ab, p.piv, p.b, ldb, nrhs);
     });
     let flops = gbtrf_flops(&l) + gbtrs_flops(&l, nrhs);
-    let bytes = gbtrf_bytes(&l) + gbtrs_bytes(&l, nrhs);
+    let bytes = bytes_at::<S>(gbtrf_bytes(&l) + gbtrs_bytes(&l, nrhs));
     CpuReport {
         model_time_s: cpu.batch_time(batch, flops, bytes),
         wall_time_s: start.elapsed().as_secs_f64(),
@@ -211,6 +220,42 @@ mod tests {
         assert_eq!(a_par.data(), a_seq.data());
         assert_eq!(piv_par, piv_seq);
         assert_eq!(info_par, info_seq);
+
+        // The f32 instantiation of the full solve: same worker invariance,
+        // and the model charges half the f64 traffic.
+        let (a64, b64) = random_system(batch, n, kl, ku);
+        let run_f32 = |cpu: &CpuSpec| {
+            let mut a = BandBatch::<f32>::zeros_with_layout(a64.layout(), batch).unwrap();
+            for (d, &v) in a.data_mut().iter_mut().zip(a64.data()) {
+                *d = v as f32;
+            }
+            let mut b = RhsBatch::<f32>::zeros(batch, n, 1).unwrap();
+            for (d, &v) in b.data_mut().iter_mut().zip(b64.data()) {
+                *d = v as f32;
+            }
+            let mut piv = PivotBatch::new(batch, n, n);
+            let mut info = InfoArray::new(batch);
+            let rep = cpu_gbsv_batch::<f32>(cpu, &mut a, &mut piv, &mut b, &mut info);
+            (a, b, piv, info, rep.model_time_s)
+        };
+        let (a8, b8, p8, i8, t8) = run_f32(&many);
+        let (a1, b1, p1, i1, t1) = run_f32(&one);
+        assert!(i1.all_ok());
+        assert_eq!(a8.data(), a1.data());
+        assert_eq!(b8.data(), b1.data());
+        assert_eq!(p8, p1);
+        assert_eq!(i8, i1);
+        let l = a64.layout();
+        let flops = gbtrf_flops(&l) + gbtrs_flops(&l, 1);
+        let bytes = gbtrf_bytes(&l) + gbtrs_bytes(&l, 1);
+        assert_eq!(
+            t1.to_bits(),
+            one.batch_time(batch, flops, bytes / 2.0).to_bits()
+        );
+        assert_eq!(
+            t8.to_bits(),
+            many.batch_time(batch, flops, bytes / 2.0).to_bits()
+        );
     }
 
     #[test]

@@ -34,19 +34,34 @@ use gbatch_core::layout::BandLayout;
 use gbatch_core::scalar::Scalar;
 use gbatch_gpu_sim::hazard::{self, HazardMode};
 use gbatch_gpu_sim::{DeviceSpec, HazardReport, ParallelPolicy};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Serializes traced launches. The hazard mode is process-wide, so two
+/// concurrent conformance runs (the f64 and f32 grids of one test binary)
+/// would otherwise restore each other's saved mode mid-launch and lose
+/// the traces.
+static TRACE_LOCK: Mutex<()> = Mutex::new(());
 
 /// Restores the process-wide hazard mode on drop, so a failed conformance
-/// check cannot leak `Trace` mode into unrelated tests.
-struct ModeGuard(HazardMode);
+/// check cannot leak `Trace` mode into unrelated tests, then releases
+/// [`TRACE_LOCK`].
+struct ModeGuard {
+    saved: HazardMode,
+    _lock: MutexGuard<'static, ()>,
+}
 
 impl Drop for ModeGuard {
     fn drop(&mut self) {
-        hazard::set_global_mode(self.0);
+        hazard::set_global_mode(self.saved);
     }
 }
 
 fn trace_mode() -> ModeGuard {
-    let guard = ModeGuard(hazard::global_mode());
+    let _lock = TRACE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    let guard = ModeGuard {
+        saved: hazard::global_mode(),
+        _lock,
+    };
     hazard::set_global_mode(HazardMode::Trace);
     guard
 }

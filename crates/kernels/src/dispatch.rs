@@ -133,7 +133,12 @@ pub struct GbsvOptions {
     /// Storage layout (default: [`MatrixLayout::Auto`]). The layout
     /// dimension is independent of `algo`: forcing a column-major `algo`
     /// pins the layout to column-major under `Auto`, while forcing
-    /// [`MatrixLayout::Interleaved`] overrides `algo` entirely.
+    /// [`MatrixLayout::Interleaved`] overrides `algo` for every call that
+    /// reaches the layout decision. `gbsv_batch` decides two regimes
+    /// first and ignores the layout for them: the fused single-kernel
+    /// GBSV (order within the fused cutoff, one right-hand side, fits in
+    /// shared memory, `allow_fused_gbsv` not disabled) and the SPIKE
+    /// split. `gbtrf_batch` likewise honors `prefer_specialized` first.
     pub layout: MatrixLayout,
     /// Crossover-model constants for the `Auto` layout decision (default:
     /// the calibrated constants of [`CrossoverModel::default`], refreshed
@@ -1296,6 +1301,30 @@ mod tests {
             "expected {expect:.3e}s saved, got {got:.3e}s over {} launches",
             cold.3.launches
         );
+    }
+
+    #[test]
+    fn forced_interleaved_reports_what_actually_ran() {
+        // The fused single-kernel GBSV is decided before the layout, so a
+        // forced Interleaved layout only takes effect off the fused path:
+        // with a second right-hand side, or past the fused cutoff.
+        let dev = DeviceSpec::h100_pcie();
+        let opts = GbsvOptions {
+            layout: MatrixLayout::Interleaved,
+            ..Default::default()
+        };
+        for (n, nrhs, want) in [
+            (16usize, 1usize, ChosenAlgo::FusedGbsv),
+            (16, 2, ChosenAlgo::Interleaved),
+            (96, 1, ChosenAlgo::Interleaved),
+        ] {
+            let (mut a, mut b) = random_system(8, n, 2, 3, nrhs);
+            let mut piv = PivotBatch::new(8, n, n);
+            let mut info = InfoArray::new(8);
+            let rep = dgbsv_batch(&dev, &mut a, &mut piv, &mut b, &mut info, &opts).unwrap();
+            assert_eq!(rep.algo, want, "n={n} nrhs={nrhs}");
+            assert!(info.all_ok());
+        }
     }
 
     #[test]

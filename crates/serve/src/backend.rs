@@ -4,7 +4,8 @@
 //!
 //! - [`GpuBackend`] — the simulated-GPU batch path: the flush is split
 //!   across a [`DeviceGroup`] (one partition per device, e.g. the two GCDs
-//!   of an MI250x) and each partition runs one `dgbsv_batch` dispatch.
+//!   of an MI250x) and each partition runs one `gbsv_batch` dispatch at
+//!   the flush's precision.
 //!   Service time is the group makespan, so the server's busy-tracking
 //!   sees the same launch-overhead economics as the paper's Figure 1.
 //! - [`CpuBackend`] — the multicore spill-over path (`cpu_gbsv_batch`),
@@ -13,11 +14,14 @@
 //! Payloads travel in `f64` on the wire regardless of precision; a key
 //! tagged [`Precision::F32`] means the client accepts single-precision
 //! compute, so the flush is narrowed at assembly and runs on the `f32`
-//! instantiation of the batch stack (`sgbsv_batch` on the GPU, the `f32`
-//! core driver on the CPU) — half the shared-memory footprint, twice the
-//! modeled fp32 lane throughput. Because [`ShapeKey`] carries the
-//! precision, f32 and f64 traffic of the same geometry never share a
+//! instantiation of the batch stack — half the shared-memory footprint,
+//! twice the modeled fp32 lane throughput. Because [`ShapeKey`] carries
+//! the precision, f32 and f64 traffic of the same geometry never share a
 //! bucket or a launch.
+//!
+//! Every entry point has one body, generic over the flush's [`Scalar`];
+//! each [`SolveBackend`] method picks the instantiation with a single
+//! `match` on [`ShapeKey::precision`].
 //!
 //! Both are behind the [`SolveBackend`] trait so tests can inject faulting
 //! doubles to exercise the server's bisect-retry logic.
@@ -29,15 +33,18 @@ use gbatch_core::gbtrs::Transpose;
 use gbatch_core::layout::BandLayout;
 use gbatch_core::spike::{spike_factorize, spike_solve_retained};
 use gbatch_core::{
-    BandBatch, BandMatrixRef, FactorPayload, InfoArray, PivotBatch, Precision, RetainedFactor,
-    RhsBatch, ShapeKey,
+    BandBatch, BandMatrixRef, InfoArray, PayloadScalar, PivotBatch, Precision, RetainedFactor,
+    RhsBatch, Scalar, ShapeKey,
 };
+use gbatch_cpu::model::{bytes_at, gbtrf_bytes, gbtrf_flops, gbtrs_bytes, gbtrs_flops};
 use gbatch_cpu::{cpu_gbsv_batch, CpuSpec};
 use gbatch_gpu_sim::engine::LaunchError;
 use gbatch_gpu_sim::multi::DeviceGroup;
 use gbatch_gpu_sim::{DeviceSpec, EngineMode, MegabatchQueue, ParallelPolicy, SimTime};
 use gbatch_kernels::cost::{predict_spike_time, CrossoverModel};
-use gbatch_kernels::dispatch::{ChosenAlgo, GbsvOptions, MatrixLayout, SPIKE_MIN_N};
+use gbatch_kernels::dispatch::{
+    gbsv_batch, gbtrf_batch, gbtrs_batch_lanes, ChosenAlgo, GbsvOptions, MatrixLayout, SPIKE_MIN_N,
+};
 use gbatch_kernels::spike::SpikeParams;
 use gbatch_kernels::window::WindowParams;
 use gbatch_tuning::TuningTable;
@@ -179,58 +186,84 @@ pub trait SolveBackend {
     }
 }
 
-/// Copy the requests' payloads into freshly-allocated batch containers.
-fn assemble(
-    shape: &ShapeKey,
-    reqs: &[SolveRequest],
-) -> Result<(BandBatch, PivotBatch, RhsBatch, InfoArray), BackendError> {
-    let l = shape
+/// The band layout of a shape, or a fault naming the invalid shape.
+fn layout_of(shape: &ShapeKey) -> Result<BandLayout, BackendError> {
+    shape
         .layout()
-        .map_err(|e| BackendError::Fault(format!("invalid shape {shape}: {e}")))?;
-    let batch = reqs.len();
-    let mut a = BandBatch::zeros_with_layout(l, batch)
-        .map_err(|e| BackendError::Fault(format!("band allocation failed: {e}")))?;
-    let mut rhs = RhsBatch::zeros(batch, l.n, shape.nrhs)
-        .map_err(|e| BackendError::Fault(format!("rhs allocation failed: {e}")))?;
-    let stride = a.matrix_stride();
-    for (k, r) in reqs.iter().enumerate() {
-        a.data_mut()[k * stride..(k + 1) * stride].copy_from_slice(&r.ab);
-        rhs.block_mut(k).copy_from_slice(&r.rhs);
-    }
-    let piv = PivotBatch::new(batch, l.m, l.n);
-    let info = InfoArray::new(batch);
-    Ok((a, piv, rhs, info))
+        .map_err(|e| BackendError::Fault(format!("invalid shape {shape}: {e}")))
 }
 
-/// [`assemble`] for an F32-tagged key: the `f64` wire payloads are
-/// narrowed element-wise into `f32` batch containers.
-fn assemble_f32(
+/// Narrow `f64` wire values onto the flush precision (a copy at `f64`).
+fn narrow<S: Scalar>(src: &[f64]) -> Vec<S> {
+    src.iter().map(|&v| S::from_f64(v)).collect()
+}
+
+/// [`narrow`] into an existing buffer.
+fn narrow_into<S: Scalar>(dst: &mut [S], src: &[f64]) {
+    for (d, &v) in dst.iter_mut().zip(src) {
+        *d = S::from_f64(v);
+    }
+}
+
+/// Widen flush-precision values back onto the `f64` wire (exact).
+fn widen<S: Scalar>(src: &[S]) -> Vec<f64> {
+    src.iter().map(|v| v.to_f64()).collect()
+}
+
+/// Copy the requests' payloads into freshly-allocated batch containers
+/// at the flush precision.
+fn assemble<S: Scalar>(
     shape: &ShapeKey,
     reqs: &[SolveRequest],
-) -> Result<(BandBatch<f32>, PivotBatch, RhsBatch<f32>, InfoArray), BackendError> {
-    let l = shape
-        .layout()
-        .map_err(|e| BackendError::Fault(format!("invalid shape {shape}: {e}")))?;
+) -> Result<(BandBatch<S>, PivotBatch, RhsBatch<S>, InfoArray), BackendError> {
+    let l = layout_of(shape)?;
     let batch = reqs.len();
-    let mut a = BandBatch::<f32>::zeros_with_layout(l, batch)
+    let mut a = BandBatch::<S>::zeros_with_layout(l, batch)
         .map_err(|e| BackendError::Fault(format!("band allocation failed: {e}")))?;
-    let mut rhs = RhsBatch::<f32>::zeros(batch, l.n, shape.nrhs)
+    let mut rhs = RhsBatch::<S>::zeros(batch, l.n, shape.nrhs)
         .map_err(|e| BackendError::Fault(format!("rhs allocation failed: {e}")))?;
     let stride = a.matrix_stride();
     for (k, r) in reqs.iter().enumerate() {
-        for (dst, &src) in a.data_mut()[k * stride..(k + 1) * stride]
-            .iter_mut()
-            .zip(&r.ab)
-        {
-            *dst = src as f32;
-        }
-        for (dst, &src) in rhs.block_mut(k).iter_mut().zip(&r.rhs) {
-            *dst = src as f32;
-        }
+        narrow_into(&mut a.data_mut()[k * stride..(k + 1) * stride], &r.ab);
+        narrow_into(rhs.block_mut(k), &r.rhs);
     }
-    let piv = PivotBatch::new(batch, l.m, l.n);
-    let info = InfoArray::new(batch);
-    Ok((a, piv, rhs, info))
+    Ok((
+        a,
+        PivotBatch::new(batch, l.m, l.n),
+        rhs,
+        InfoArray::new(batch),
+    ))
+}
+
+/// One lane's answer on the wire: the widened solution, or — for a
+/// singular lane — the request's *original* `f64` right-hand side (no
+/// round trip through the flush precision).
+fn answer<S: Scalar>(r: &SolveRequest, info: i32, solved: &[S]) -> Vec<f64> {
+    if info > 0 {
+        r.rhs.clone()
+    } else {
+        widen(solved)
+    }
+}
+
+/// Guard a warm batch: one retained factor per request, each matching the
+/// shape's layout and precision. Returns the shape's layout.
+fn check_factors(
+    shape: &ShapeKey,
+    reqs: &[SolveRequest],
+    factors: &[Arc<RetainedFactor>],
+) -> Result<BandLayout, BackendError> {
+    assert_eq!(reqs.len(), factors.len(), "one retained factor per request");
+    let l = layout_of(shape)?;
+    match factors
+        .iter()
+        .position(|f| f.layout != l || f.precision() != shape.precision)
+    {
+        Some(k) => Err(BackendError::Fault(format!(
+            "lane {k}: retained factor does not match shape {shape}"
+        ))),
+        None => Ok(l),
+    }
 }
 
 /// Whether a shape is served by the SPIKE split regime on the device: at
@@ -239,65 +272,60 @@ fn spike_worthy(shape: &ShapeKey) -> bool {
     shape.n >= SPIKE_MIN_N && shape.kl + shape.ku > 0
 }
 
-/// Harvest a large-`n` operator as a retained SPIKE factorization
-/// (`f64`). `None` when any block or the reduced system factors singular
-/// — callers skip retention and stay correct.
-fn spike_retain_f64(dev: &DeviceSpec, l: &BandLayout, ab: &[f64]) -> Option<Arc<RetainedFactor>> {
+/// Harvest a large-`n` operator as a retained SPIKE factorization at
+/// precision `S` (the wire payload is narrowed first, matching the
+/// precision the device solve ran at). `None` when any block or the
+/// reduced system factors singular — callers skip retention and stay
+/// correct.
+fn spike_retain<S: PayloadScalar>(
+    dev: &DeviceSpec,
+    l: &BandLayout,
+    ab: &[f64],
+) -> Option<Arc<RetainedFactor>> {
     let parts = SpikeParams::auto(dev, l.kl).parts;
+    let data = narrow::<S>(ab);
     let aref = BandMatrixRef {
         layout: *l,
-        data: ab,
+        data: &data[..],
     };
     spike_factorize(&aref, parts).ok().map(|f| {
         Arc::new(RetainedFactor {
             layout: *l,
-            payload: FactorPayload::SpikeF64(Box::new(f)),
+            payload: S::spike_payload(f),
             pivots: Vec::new(),
         })
     })
 }
 
-/// [`spike_retain_f64`] for F32-tagged traffic: the wire payload is
-/// narrowed before the split factorization, matching the precision the
-/// device solve ran at.
-fn spike_retain_f32(dev: &DeviceSpec, l: &BandLayout, ab: &[f64]) -> Option<Arc<RetainedFactor>> {
-    let parts = SpikeParams::auto(dev, l.kl).parts;
-    let narrowed: Vec<f32> = ab.iter().map(|&v| v as f32).collect();
-    let aref = BandMatrixRef {
-        layout: *l,
-        data: &narrowed[..],
-    };
-    spike_factorize(&aref, parts).ok().map(|f| {
+/// One host `gbtrf` at precision `S`: the retained factors (`None` when
+/// singular) and the LAPACK `info` code.
+fn host_factor<S: PayloadScalar>(l: &BandLayout, op: &[f64]) -> (Option<Arc<RetainedFactor>>, i32) {
+    let mut ab = narrow::<S>(op);
+    let mut ipiv = vec![0i32; l.m.min(l.n)];
+    let code = gbatch_core::gbtrf::gbtrf::<S>(l, &mut ab, &mut ipiv);
+    let factor = (code == 0).then(|| {
         Arc::new(RetainedFactor {
             layout: *l,
-            payload: FactorPayload::SpikeF32(Box::new(f)),
-            pivots: Vec::new(),
+            payload: S::band_payload(ab),
+            pivots: ipiv,
         })
-    })
+    });
+    (factor, code)
 }
 
 /// Price the host-side split refactorization that retention runs when a
-/// SPIKE-dispatched lane's factors are harvested ([`spike_retain_f64`] /
-/// [`spike_retain_f32`] re-run `spike_factorize` from the original band),
-/// using the same factor-phase cost terms as [`GpuBackend::factorize_spike`].
-fn spike_retention_time(
-    dev: &DeviceSpec,
-    l: &BandLayout,
-    precision: Precision,
-    lanes: usize,
-) -> SimTime {
+/// SPIKE-dispatched lane's factors are harvested ([`spike_retain`] re-runs
+/// `spike_factorize` from the original band), using the same factor-phase
+/// cost terms as [`GpuBackend::factorize_spike`].
+fn spike_retention_time<S: Scalar>(dev: &DeviceSpec, l: &BandLayout, lanes: usize) -> SimTime {
     if lanes == 0 {
         return SimTime(0.0);
     }
-    let params = SpikeParams::auto(dev, l.kl);
-    let per = match precision {
-        Precision::F32 => predict_spike_time::<f32>(dev, l, 0, &params),
-        Precision::F64 => predict_spike_time::<f64>(dev, l, 0, &params),
-    };
-    per.map_or(SimTime(0.0), |p| SimTime(p.secs() * lanes as f64))
+    predict_spike_time::<S>(dev, l, 0, &SpikeParams::auto(dev, l.kl))
+        .map_or(SimTime(0.0), |p| SimTime(p.secs() * lanes as f64))
 }
 
-/// Simulated-GPU backend: one `dgbsv_batch` dispatch per device partition.
+/// Simulated-GPU backend: one `gbsv_batch` dispatch per device partition.
 ///
 /// With [`EngineMode::Resident`] (see [`GpuBackend::with_engine`]) the
 /// backend keeps a persistent worker pool alive across flushes: launches
@@ -426,7 +454,7 @@ impl GpuBackend {
     /// `solve_retaining` price identically; SPIKE-dispatched lanes refactor
     /// on the host during the harvest, and that work is priced into the
     /// flush via [`spike_retention_time`].
-    fn run_gbsv(
+    fn run_gbsv<S: PayloadScalar>(
         &self,
         shape: &ShapeKey,
         reqs: &[SolveRequest],
@@ -437,80 +465,32 @@ impl GpuBackend {
         let mut info_out = vec![0i32; batch];
         let mut lanes: RetainedLanes = vec![None; batch];
         let opts = self.options(shape);
-        let time = if shape.precision == Precision::F32 {
-            // Single-precision traffic: narrow at assembly, dispatch the
-            // f32 instantiation, widen the solutions back onto the f64
-            // wire. A singular lane's response is the *original* f64
-            // right-hand side, matching the f64 path's untouched-RHS
-            // contract exactly (no f32 round-trip on the payload).
-            self.group.run_split(batch, |dev, lo, hi| {
-                let part = &reqs[lo..hi];
-                let (mut a, mut piv, mut rhs, mut info) = assemble_f32(shape, part)?;
-                let rep = gbatch_kernels::dispatch::sgbsv_batch(
-                    dev, &mut a, &mut piv, &mut rhs, &mut info, &opts,
-                )
+        let time = self.group.run_split(batch, |dev, lo, hi| {
+            let part = &reqs[lo..hi];
+            let (mut a, mut piv, mut rhs, mut info) = assemble::<S>(shape, part)?;
+            let rep = gbsv_batch(dev, &mut a, &mut piv, &mut rhs, &mut info, &opts)
                 .map_err(BackendError::Launch)?;
-                let mut spike_retained = 0usize;
-                for (k, r) in part.iter().enumerate() {
-                    info_out[lo + k] = info.get(k);
-                    x[lo + k] = if info.get(k) > 0 {
-                        r.rhs.clone()
+            let mut spike_retained = 0usize;
+            for (k, r) in part.iter().enumerate() {
+                info_out[lo + k] = info.get(k);
+                x[lo + k] = answer(r, info.get(k), rhs.block(k));
+                if retain && info.get(k) == 0 {
+                    // A SPIKE dispatch wrote *block-partitioned* factors
+                    // back — harvest the split factorization itself, not
+                    // a band that no monolithic GBTRS can consume.
+                    lanes[lo + k] = if rep.algo == ChosenAlgo::Spike {
+                        spike_retained += 1;
+                        spike_retain::<S>(dev, &a.layout(), &r.ab)
                     } else {
-                        rhs.block(k).iter().map(|&v| v as f64).collect()
+                        Some(Arc::new(RetainedFactor::from_lane(&a, piv.pivots(k), k)))
                     };
-                    if retain && info.get(k) == 0 {
-                        // A SPIKE dispatch wrote *block-partitioned*
-                        // factors back — harvest the split factorization
-                        // itself, not a band that no monolithic GBTRS
-                        // can consume.
-                        lanes[lo + k] = if rep.algo == ChosenAlgo::Spike {
-                            spike_retained += 1;
-                            spike_retain_f32(dev, &a.layout(), &r.ab)
-                        } else {
-                            Some(Arc::new(RetainedFactor::from_lane_f32(
-                                &a,
-                                piv.pivots(k),
-                                k,
-                            )))
-                        };
-                    }
                 }
-                // The SPIKE retention harvest refactors each lane on the
-                // host — priced into the flush, not hidden.
-                let t = rep.time
-                    + spike_retention_time(dev, &a.layout(), Precision::F32, spike_retained);
-                Ok(self.flush_time(dev, t, rep.launches))
-            })?
-        } else {
-            self.group.run_split(batch, |dev, lo, hi| {
-                let part = &reqs[lo..hi];
-                let (mut a, mut piv, mut rhs, mut info) = assemble(shape, part)?;
-                let rep = gbatch_kernels::dispatch::dgbsv_batch(
-                    dev, &mut a, &mut piv, &mut rhs, &mut info, &opts,
-                )
-                .map_err(BackendError::Launch)?;
-                let mut spike_retained = 0usize;
-                for (k, r) in part.iter().enumerate() {
-                    x[lo + k] = rhs.block(k).to_vec();
-                    info_out[lo + k] = info.get(k);
-                    if retain && info.get(k) == 0 {
-                        lanes[lo + k] = if rep.algo == ChosenAlgo::Spike {
-                            spike_retained += 1;
-                            spike_retain_f64(dev, &a.layout(), &r.ab)
-                        } else {
-                            Some(Arc::new(RetainedFactor::from_lane_f64(
-                                &a,
-                                piv.pivots(k),
-                                k,
-                            )))
-                        };
-                    }
-                }
-                let t = rep.time
-                    + spike_retention_time(dev, &a.layout(), Precision::F64, spike_retained);
-                Ok(self.flush_time(dev, t, rep.launches))
-            })?
-        };
+            }
+            // The SPIKE retention harvest refactors each lane on the host
+            // — priced into the flush, not hidden.
+            let t = rep.time + spike_retention_time::<S>(dev, &a.layout(), spike_retained);
+            Ok(self.flush_time(dev, t, rep.launches))
+        })?;
         Ok((
             BatchSolution {
                 x,
@@ -521,11 +501,53 @@ impl GpuBackend {
         ))
     }
 
+    /// The GBTRS-only warm body. Retained SPIKE factorizations (large-n
+    /// split operators) solve through the split warm path; a mixed
+    /// monolithic/SPIKE batch fails closed, and the server demotes the
+    /// flush to the cold path, which is always correct.
+    fn run_gbtrs<S: PayloadScalar>(
+        &self,
+        shape: &ShapeKey,
+        reqs: &[SolveRequest],
+        factors: &[Arc<RetainedFactor>],
+    ) -> Result<BatchSolution, BackendError> {
+        let l = check_factors(shape, reqs, factors)?;
+        if factors.iter().any(|f| f.is_spike()) {
+            if !factors.iter().all(|f| f.is_spike()) {
+                return Err(BackendError::Fault(
+                    "mixed monolithic/SPIKE warm batch".into(),
+                ));
+            }
+            return self.solve_with_spike::<S>(shape, reqs, factors, &l);
+        }
+        let batch = reqs.len();
+        let mut x = vec![Vec::new(); batch];
+        let opts = self.options(shape);
+        let time = self.group.run_split(batch, |dev, lo, hi| {
+            let (_, _, mut rhs, _) = assemble::<S>(shape, &reqs[lo..hi])?;
+            let lanes: Vec<(&[S], &[i32])> = factors[lo..hi]
+                .iter()
+                .map(|f| (f.factors::<S>().expect("checked above"), &f.pivots[..]))
+                .collect();
+            let rep = gbtrs_batch_lanes(dev, Transpose::No, &l, &lanes, &mut rhs, &opts)
+                .map_err(BackendError::Launch)?;
+            for k in 0..hi - lo {
+                x[lo + k] = widen(rhs.block(k));
+            }
+            Ok(self.flush_time(dev, rep.time, rep.launches))
+        })?;
+        Ok(BatchSolution {
+            x,
+            info: vec![0; batch],
+            service_s: time.secs(),
+        })
+    }
+
     /// The warm SPIKE solve body: every lane rides its retained split
     /// factorization ([`spike_solve_retained`] — block triangular solves,
     /// reduced back-substitution, combine), priced with the split cost
     /// model's solve-only terms and the backend's engine mode.
-    fn solve_with_spike(
+    fn solve_with_spike<S: PayloadScalar>(
         &self,
         shape: &ShapeKey,
         reqs: &[SolveRequest],
@@ -537,33 +559,20 @@ impl GpuBackend {
         let mut x = vec![Vec::new(); batch];
         let time = self.group.run_split(batch, |dev, lo, hi| {
             for k in lo..hi {
-                let r = &reqs[k];
-                let f = &factors[k];
-                if shape.precision == Precision::F32 {
-                    let sf = f.spike_f32().expect("all lanes SPIKE at shape precision");
-                    let mut b: Vec<f32> = r.rhs.iter().map(|&v| v as f32).collect();
-                    spike_solve_retained(sf, &mut b, nrhs);
-                    x[k] = b.iter().map(|&v| v as f64).collect();
-                } else {
-                    let sf = f.spike_f64().expect("all lanes SPIKE at shape precision");
-                    let mut b = r.rhs.clone();
-                    spike_solve_retained(sf, &mut b, nrhs);
-                    x[k] = b;
-                }
+                let sf = factors[k].spike::<S>().expect("checked above");
+                let mut b = narrow::<S>(&reqs[k].rhs);
+                spike_solve_retained(sf, &mut b, nrhs);
+                x[k] = widen(&b);
             }
-            let parts = match &factors[lo].payload {
-                FactorPayload::SpikeF64(f) => f.partition.parts,
-                FactorPayload::SpikeF32(f) => f.partition.parts,
-                _ => unreachable!("all lanes checked SPIKE above"),
-            };
+            let parts = factors[lo]
+                .spike::<S>()
+                .expect("checked above")
+                .partition
+                .parts;
             let params = SpikeParams::auto(dev, l.kl).with_parts(parts);
-            let model = CrossoverModel::default();
-            let t = if shape.precision == Precision::F32 {
-                model.spike_warm_time::<f32>(dev, l, hi - lo, nrhs, &params)
-            } else {
-                model.spike_warm_time::<f64>(dev, l, hi - lo, nrhs, &params)
-            }
-            .ok_or_else(|| BackendError::Fault("warm SPIKE solve cannot be priced".into()))?;
+            let t = CrossoverModel::default()
+                .spike_warm_time::<S>(dev, l, hi - lo, nrhs, &params)
+                .ok_or_else(|| BackendError::Fault("warm SPIKE solve cannot be priced".into()))?;
             Ok(self.flush_time(dev, t, 2 * (hi - lo)))
         })?;
         Ok(BatchSolution {
@@ -573,27 +582,64 @@ impl GpuBackend {
         })
     }
 
+    /// The factor-only body. Large-`n` operators are retained as SPIKE
+    /// split factorizations, so their warm solves ride the split path
+    /// instead of a monolithic triangular solve the device could not batch.
+    fn run_gbtrf<S: PayloadScalar>(
+        &self,
+        shape: &ShapeKey,
+        operators: &[&[f64]],
+    ) -> Result<FactorOutcome, BackendError> {
+        let l = layout_of(shape)?;
+        if spike_worthy(shape) {
+            if let Some(out) = self.factorize_spike::<S>(operators, &l)? {
+                return Ok(out);
+            }
+        }
+        let batch = operators.len();
+        let mut factors: RetainedLanes = vec![None; batch];
+        let mut info_out = vec![0i32; batch];
+        let opts = self.options(shape);
+        let time = self.group.run_split(batch, |dev, lo, hi| {
+            let mut a = BandBatch::<S>::zeros_with_layout(l, hi - lo)
+                .map_err(|e| BackendError::Fault(format!("band allocation failed: {e}")))?;
+            let stride = a.matrix_stride();
+            for (k, op) in operators[lo..hi].iter().enumerate() {
+                narrow_into(&mut a.data_mut()[k * stride..(k + 1) * stride], op);
+            }
+            let mut piv = PivotBatch::new(hi - lo, l.m, l.n);
+            let mut info = InfoArray::new(hi - lo);
+            let rep = gbtrf_batch(dev, &mut a, &mut piv, &mut info, &opts)
+                .map_err(BackendError::Launch)?;
+            for k in 0..hi - lo {
+                info_out[lo + k] = info.get(k);
+                if info.get(k) == 0 {
+                    factors[lo + k] =
+                        Some(Arc::new(RetainedFactor::from_lane(&a, piv.pivots(k), k)));
+                }
+            }
+            Ok(self.flush_time(dev, rep.time, rep.launches))
+        })?;
+        Ok(FactorOutcome {
+            factors,
+            info: info_out,
+            service_s: time.secs(),
+        })
+    }
+
     /// Factor-ahead body for large-`n` operators: each lane is split,
     /// block-factored and retained as a [`gbatch_core::spike::SpikeFactor`]
     /// payload, priced as the split driver's factor-phase launches.
     /// `Ok(None)` when the split cannot be priced on some group member —
     /// the caller falls back to the monolithic path.
-    fn factorize_spike(
+    fn factorize_spike<S: PayloadScalar>(
         &self,
-        shape: &ShapeKey,
         operators: &[&[f64]],
         l: &BandLayout,
     ) -> Result<Option<FactorOutcome>, BackendError> {
-        let f32_tagged = shape.precision == Precision::F32;
-        let priceable = self.group.devices.iter().all(|dev| {
-            let params = SpikeParams::auto(dev, l.kl);
-            if f32_tagged {
-                predict_spike_time::<f32>(dev, l, 0, &params).is_some()
-            } else {
-                predict_spike_time::<f64>(dev, l, 0, &params).is_some()
-            }
-        });
-        if !priceable {
+        let price =
+            |dev: &DeviceSpec| predict_spike_time::<S>(dev, l, 0, &SpikeParams::auto(dev, l.kl));
+        if !self.group.devices.iter().all(|dev| price(dev).is_some()) {
             return Ok(None);
         }
         let batch = operators.len();
@@ -601,52 +647,14 @@ impl GpuBackend {
         let mut info_out = vec![0i32; batch];
         let time = self.group.run_split(batch, |dev, lo, hi| {
             for (k, op) in operators[lo..hi].iter().enumerate() {
-                if f32_tagged {
-                    match spike_retain_f32(dev, l, op) {
-                        Some(f) => factors[lo + k] = Some(f),
-                        None => {
-                            // A singular block (or reduced system): fall
-                            // back to the monolithic host factorization
-                            // for the honest info code.
-                            let mut ab: Vec<f32> = op.iter().map(|&v| v as f32).collect();
-                            let mut ipiv = vec![0i32; l.m.min(l.n)];
-                            let code = gbatch_core::gbtrf::gbtrf::<f32>(l, &mut ab, &mut ipiv);
-                            info_out[lo + k] = code;
-                            if code == 0 {
-                                factors[lo + k] = Some(Arc::new(RetainedFactor {
-                                    layout: *l,
-                                    payload: FactorPayload::F32(ab),
-                                    pivots: ipiv,
-                                }));
-                            }
-                        }
-                    }
-                } else {
-                    match spike_retain_f64(dev, l, op) {
-                        Some(f) => factors[lo + k] = Some(f),
-                        None => {
-                            let mut ab = op.to_vec();
-                            let mut ipiv = vec![0i32; l.m.min(l.n)];
-                            let code = gbatch_core::gbtrf::gbtrf::<f64>(l, &mut ab, &mut ipiv);
-                            info_out[lo + k] = code;
-                            if code == 0 {
-                                factors[lo + k] = Some(Arc::new(RetainedFactor {
-                                    layout: *l,
-                                    payload: FactorPayload::F64(ab),
-                                    pivots: ipiv,
-                                }));
-                            }
-                        }
-                    }
-                }
+                // A singular block (or reduced system) falls back to the
+                // monolithic host factorization for the honest info code.
+                (factors[lo + k], info_out[lo + k]) = match spike_retain::<S>(dev, l, op) {
+                    Some(f) => (Some(f), 0),
+                    None => host_factor::<S>(l, op),
+                };
             }
-            let params = SpikeParams::auto(dev, l.kl);
-            let per = if f32_tagged {
-                predict_spike_time::<f32>(dev, l, 0, &params)
-            } else {
-                predict_spike_time::<f64>(dev, l, 0, &params)
-            }
-            .expect("priceability checked above");
+            let per = price(dev).expect("priceability checked above");
             let t = SimTime(per.secs() * (hi - lo) as f64);
             Ok(self.flush_time(dev, t, 3 * (hi - lo)))
         })?;
@@ -677,7 +685,11 @@ impl SolveBackend for GpuBackend {
         shape: &ShapeKey,
         reqs: &[SolveRequest],
     ) -> Result<BatchSolution, BackendError> {
-        self.run_gbsv(shape, reqs, false).map(|(sol, _)| sol)
+        match shape.precision {
+            Precision::F32 => self.run_gbsv::<f32>(shape, reqs, false),
+            Precision::F64 => self.run_gbsv::<f64>(shape, reqs, false),
+        }
+        .map(|(sol, _)| sol)
     }
 
     fn solve_retaining(
@@ -685,7 +697,10 @@ impl SolveBackend for GpuBackend {
         shape: &ShapeKey,
         reqs: &[SolveRequest],
     ) -> Result<(BatchSolution, RetainedLanes), BackendError> {
-        self.run_gbsv(shape, reqs, true)
+        match shape.precision {
+            Precision::F32 => self.run_gbsv::<f32>(shape, reqs, true),
+            Precision::F64 => self.run_gbsv::<f64>(shape, reqs, true),
+        }
     }
 
     /// The GBTRS-only fast path: gather each lane's retained factors and
@@ -699,177 +714,22 @@ impl SolveBackend for GpuBackend {
         reqs: &[SolveRequest],
         factors: &[Arc<RetainedFactor>],
     ) -> Result<BatchSolution, BackendError> {
-        let batch = reqs.len();
-        assert_eq!(batch, factors.len(), "one retained factor per request");
-        let l = shape
-            .layout()
-            .map_err(|e| BackendError::Fault(format!("invalid shape {shape}: {e}")))?;
-        for (k, f) in factors.iter().enumerate() {
-            if f.layout != l || f.precision() != shape.precision {
-                return Err(BackendError::Fault(format!(
-                    "lane {k}: retained factor does not match shape {shape}"
-                )));
-            }
+        match shape.precision {
+            Precision::F32 => self.run_gbtrs::<f32>(shape, reqs, factors),
+            Precision::F64 => self.run_gbtrs::<f64>(shape, reqs, factors),
         }
-        // Retained SPIKE factorizations (large-n split operators) solve
-        // through the split warm path: block triangular solves + reduced
-        // back-substitution + combine, host math priced with the split
-        // cost model. A mixed monolithic/SPIKE batch — or a SPIKE payload
-        // whose precision disagrees with the shape tag — fails closed;
-        // the server demotes the flush to the cold path, which is always
-        // correct.
-        let spike_any = factors
-            .iter()
-            .filter(|f| f.spike_f64().is_some() || f.spike_f32().is_some())
-            .count();
-        if spike_any > 0 {
-            let spike_at_precision = match shape.precision {
-                Precision::F32 => factors.iter().filter(|f| f.spike_f32().is_some()).count(),
-                Precision::F64 => factors.iter().filter(|f| f.spike_f64().is_some()).count(),
-            };
-            if spike_at_precision != batch {
-                return Err(BackendError::Fault(
-                    "mixed monolithic/SPIKE warm batch or SPIKE precision mismatch".into(),
-                ));
-            }
-            return self.solve_with_spike(shape, reqs, factors, &l);
-        }
-        let mut x = vec![Vec::new(); batch];
-        let opts = self.options(shape);
-        let time = if shape.precision == Precision::F32 {
-            self.group.run_split(batch, |dev, lo, hi| {
-                let part = &reqs[lo..hi];
-                let (_, _, mut rhs, _) = assemble_f32(shape, part)?;
-                let lanes: Vec<(&[f32], &[i32])> = factors[lo..hi]
-                    .iter()
-                    .map(|f| (f.factors_f32().expect("checked above"), &f.pivots[..]))
-                    .collect();
-                let rep = gbatch_kernels::dispatch::sgbtrs_batch_lanes(
-                    dev,
-                    Transpose::No,
-                    &l,
-                    &lanes,
-                    &mut rhs,
-                    &opts,
-                )
-                .map_err(BackendError::Launch)?;
-                for k in 0..part.len() {
-                    x[lo + k] = rhs.block(k).iter().map(|&v| v as f64).collect();
-                }
-                Ok(self.flush_time(dev, rep.time, rep.launches))
-            })?
-        } else {
-            self.group.run_split(batch, |dev, lo, hi| {
-                let part = &reqs[lo..hi];
-                let (_, _, mut rhs, _) = assemble(shape, part)?;
-                let lanes: Vec<(&[f64], &[i32])> = factors[lo..hi]
-                    .iter()
-                    .map(|f| (f.factors_f64().expect("checked above"), &f.pivots[..]))
-                    .collect();
-                let rep = gbatch_kernels::dispatch::dgbtrs_batch_lanes(
-                    dev,
-                    Transpose::No,
-                    &l,
-                    &lanes,
-                    &mut rhs,
-                    &opts,
-                )
-                .map_err(BackendError::Launch)?;
-                for k in 0..part.len() {
-                    x[lo + k] = rhs.block(k).to_vec();
-                }
-                Ok(self.flush_time(dev, rep.time, rep.launches))
-            })?
-        };
-        Ok(BatchSolution {
-            x,
-            info: vec![0; batch],
-            service_s: time.secs(),
-        })
     }
 
     /// Factor-only dispatch for the explicit `Factorize` entry point.
-    /// Large-`n` operators are retained as SPIKE split factorizations, so
-    /// their warm solves ride the split path instead of a monolithic
-    /// triangular solve the device could not batch.
     fn factorize(
         &self,
         shape: &ShapeKey,
         operators: &[&[f64]],
     ) -> Result<FactorOutcome, BackendError> {
-        let l = shape
-            .layout()
-            .map_err(|e| BackendError::Fault(format!("invalid shape {shape}: {e}")))?;
-        if spike_worthy(shape) {
-            if let Some(out) = self.factorize_spike(shape, operators, &l)? {
-                return Ok(out);
-            }
+        match shape.precision {
+            Precision::F32 => self.run_gbtrf::<f32>(shape, operators),
+            Precision::F64 => self.run_gbtrf::<f64>(shape, operators),
         }
-        let batch = operators.len();
-        let mut factors: RetainedLanes = vec![None; batch];
-        let mut info_out = vec![0i32; batch];
-        let opts = self.options(shape);
-        let time = if shape.precision == Precision::F32 {
-            self.group.run_split(batch, |dev, lo, hi| {
-                let mut a = BandBatch::<f32>::zeros_with_layout(l, hi - lo)
-                    .map_err(|e| BackendError::Fault(format!("band allocation failed: {e}")))?;
-                let stride = a.matrix_stride();
-                for (k, op) in operators[lo..hi].iter().enumerate() {
-                    for (dst, &src) in a.data_mut()[k * stride..(k + 1) * stride]
-                        .iter_mut()
-                        .zip(*op)
-                    {
-                        *dst = src as f32;
-                    }
-                }
-                let mut piv = PivotBatch::new(hi - lo, l.m, l.n);
-                let mut info = InfoArray::new(hi - lo);
-                let rep =
-                    gbatch_kernels::dispatch::sgbtrf_batch(dev, &mut a, &mut piv, &mut info, &opts)
-                        .map_err(BackendError::Launch)?;
-                for k in 0..hi - lo {
-                    info_out[lo + k] = info.get(k);
-                    if info.get(k) == 0 {
-                        factors[lo + k] = Some(Arc::new(RetainedFactor::from_lane_f32(
-                            &a,
-                            piv.pivots(k),
-                            k,
-                        )));
-                    }
-                }
-                Ok(self.flush_time(dev, rep.time, rep.launches))
-            })?
-        } else {
-            self.group.run_split(batch, |dev, lo, hi| {
-                let mut a = BandBatch::<f64>::zeros_with_layout(l, hi - lo)
-                    .map_err(|e| BackendError::Fault(format!("band allocation failed: {e}")))?;
-                let stride = a.matrix_stride();
-                for (k, op) in operators[lo..hi].iter().enumerate() {
-                    a.data_mut()[k * stride..(k + 1) * stride].copy_from_slice(op);
-                }
-                let mut piv = PivotBatch::new(hi - lo, l.m, l.n);
-                let mut info = InfoArray::new(hi - lo);
-                let rep =
-                    gbatch_kernels::dispatch::dgbtrf_batch(dev, &mut a, &mut piv, &mut info, &opts)
-                        .map_err(BackendError::Launch)?;
-                for k in 0..hi - lo {
-                    info_out[lo + k] = info.get(k);
-                    if info.get(k) == 0 {
-                        factors[lo + k] = Some(Arc::new(RetainedFactor::from_lane_f64(
-                            &a,
-                            piv.pivots(k),
-                            k,
-                        )));
-                    }
-                }
-                Ok(self.flush_time(dev, rep.time, rep.launches))
-            })?
-        };
-        Ok(FactorOutcome {
-            factors,
-            info: info_out,
-            service_s: time.secs(),
-        })
     }
 }
 
@@ -891,100 +751,89 @@ impl CpuBackend {
         &self.cpu
     }
 
-    /// Spill-over path for F32-tagged keys: each lane runs the `f32`
-    /// instantiation of the core driver sequentially (deterministic), and
-    /// the model charges half the `f64` memory traffic — the flop count is
-    /// unchanged, the element bytes halve. `retain` harvests healthy
-    /// lanes' factors without touching the modeled time.
-    fn run_f32(
+    /// The spill body ([`cpu_gbsv_batch`] at the flush precision).
+    /// `retain` harvests healthy lanes' factors without touching the
+    /// modeled time.
+    fn run_gbsv<S: PayloadScalar>(
         &self,
         shape: &ShapeKey,
         reqs: &[SolveRequest],
         retain: bool,
     ) -> Result<(BatchSolution, RetainedLanes), BackendError> {
-        let (mut a, mut piv, mut rhs, mut info) = assemble_f32(shape, reqs)?;
-        let l = a.layout();
-        let (nrhs, ldb) = (rhs.nrhs(), rhs.ldb());
-        let stride = l.len();
-        for k in 0..reqs.len() {
-            let ab = &mut a.data_mut()[k * stride..(k + 1) * stride];
-            let code = gbatch_core::gbsv::gbsv::<f32>(
-                &l,
-                ab,
-                piv.pivots_mut(k),
-                rhs.block_mut(k),
-                ldb,
-                nrhs,
-            );
-            info.set(k, code);
-        }
-        let flops = gbatch_cpu::model::gbtrf_flops(&l) + gbatch_cpu::model::gbtrs_flops(&l, nrhs);
-        let bytes = gbatch_cpu::model::gbtrf_bytes(&l) + gbatch_cpu::model::gbtrs_bytes(&l, nrhs);
-        let mut x = Vec::with_capacity(reqs.len());
-        let mut info_out = Vec::with_capacity(reqs.len());
+        let (mut a, mut piv, mut rhs, mut info) = assemble::<S>(shape, reqs)?;
+        let rep = cpu_gbsv_batch(&self.cpu, &mut a, &mut piv, &mut rhs, &mut info);
         let mut lanes: RetainedLanes = vec![None; reqs.len()];
-        for (k, r) in reqs.iter().enumerate() {
-            if info.get(k) > 0 {
-                x.push(r.rhs.clone());
-            } else {
-                x.push(rhs.block(k).iter().map(|&v| v as f64).collect());
-                if retain {
-                    lanes[k] = Some(Arc::new(RetainedFactor::from_lane_f32(
-                        &a,
-                        piv.pivots(k),
-                        k,
-                    )));
-                }
+        if retain {
+            for k in (0..reqs.len()).filter(|&k| info.get(k) == 0) {
+                lanes[k] = Some(Arc::new(RetainedFactor::from_lane(&a, piv.pivots(k), k)));
             }
-            info_out.push(info.get(k));
         }
+        let x = reqs
+            .iter()
+            .enumerate()
+            .map(|(k, r)| answer(r, info.get(k), rhs.block(k)))
+            .collect();
         Ok((
             BatchSolution {
                 x,
-                info: info_out,
-                service_s: self.cpu.batch_time(reqs.len(), flops, bytes / 2.0),
+                info: info.as_slice().to_vec(),
+                service_s: rep.model_time_s,
             },
             lanes,
         ))
     }
 
-    /// The `f64` spill body ([`cpu_gbsv_batch`]), optionally harvesting.
-    fn run_f64(
+    /// GBTRS-only spill body: each lane is one sequential `gbtrs` over its
+    /// retained factors (or the split warm path for a SPIKE factorization),
+    /// priced with triangular-solve flops and bytes only.
+    fn run_gbtrs<S: PayloadScalar>(
         &self,
         shape: &ShapeKey,
         reqs: &[SolveRequest],
-        retain: bool,
-    ) -> Result<(BatchSolution, RetainedLanes), BackendError> {
-        let (mut a, mut piv, mut rhs, mut info) = assemble(shape, reqs)?;
-        let rep = cpu_gbsv_batch(&self.cpu, &mut a, &mut piv, &mut rhs, &mut info);
-        let mut x = Vec::with_capacity(reqs.len());
-        let mut info_out = Vec::with_capacity(reqs.len());
-        let mut lanes: RetainedLanes = vec![None; reqs.len()];
-        for (k, r) in reqs.iter().enumerate() {
-            // Uniform contract with the GPU dispatcher: a singular lane
-            // returns its right-hand side untouched.
-            if info.get(k) > 0 {
-                x.push(r.rhs.clone());
-            } else {
-                x.push(rhs.block(k).to_vec());
-                if retain {
-                    lanes[k] = Some(Arc::new(RetainedFactor::from_lane_f64(
-                        &a,
-                        piv.pivots(k),
-                        k,
-                    )));
+        factors: &[Arc<RetainedFactor>],
+    ) -> Result<BatchSolution, BackendError> {
+        let l = check_factors(shape, reqs, factors)?;
+        let nrhs = shape.nrhs;
+        let x = reqs
+            .iter()
+            .zip(factors)
+            .map(|(r, f)| {
+                let mut b = narrow::<S>(&r.rhs);
+                if let Some(sf) = f.spike::<S>() {
+                    spike_solve_retained(sf, &mut b, nrhs);
+                } else {
+                    let ab = f.factors::<S>().expect("checked above");
+                    gbatch_core::gbtrs::gbtrs(Transpose::No, &l, ab, &f.pivots, &mut b, l.n, nrhs);
                 }
-            }
-            info_out.push(info.get(k));
-        }
-        Ok((
-            BatchSolution {
-                x,
-                info: info_out,
-                service_s: rep.model_time_s,
-            },
-            lanes,
-        ))
+                widen(&b)
+            })
+            .collect();
+        let flops = gbtrs_flops(&l, nrhs);
+        let bytes = bytes_at::<S>(gbtrs_bytes(&l, nrhs));
+        Ok(BatchSolution {
+            x,
+            info: vec![0; reqs.len()],
+            service_s: self.cpu.batch_time(reqs.len(), flops, bytes),
+        })
+    }
+
+    /// Factor-only spill body: sequential `gbtrf` per operator, priced
+    /// with factorization flops and bytes only.
+    fn run_gbtrf<S: PayloadScalar>(
+        &self,
+        shape: &ShapeKey,
+        operators: &[&[f64]],
+    ) -> Result<FactorOutcome, BackendError> {
+        let l = layout_of(shape)?;
+        let (factors, info): (RetainedLanes, Vec<i32>) =
+            operators.iter().map(|op| host_factor::<S>(&l, op)).unzip();
+        let flops = gbtrf_flops(&l);
+        let bytes = bytes_at::<S>(gbtrf_bytes(&l));
+        Ok(FactorOutcome {
+            factors,
+            info,
+            service_s: self.cpu.batch_time(operators.len(), flops, bytes),
+        })
     }
 }
 
@@ -998,11 +847,11 @@ impl SolveBackend for CpuBackend {
         shape: &ShapeKey,
         reqs: &[SolveRequest],
     ) -> Result<BatchSolution, BackendError> {
-        if shape.precision == Precision::F32 {
-            self.run_f32(shape, reqs, false).map(|(sol, _)| sol)
-        } else {
-            self.run_f64(shape, reqs, false).map(|(sol, _)| sol)
+        match shape.precision {
+            Precision::F32 => self.run_gbsv::<f32>(shape, reqs, false),
+            Precision::F64 => self.run_gbsv::<f64>(shape, reqs, false),
         }
+        .map(|(sol, _)| sol)
     }
 
     fn solve_retaining(
@@ -1010,140 +859,33 @@ impl SolveBackend for CpuBackend {
         shape: &ShapeKey,
         reqs: &[SolveRequest],
     ) -> Result<(BatchSolution, RetainedLanes), BackendError> {
-        if shape.precision == Precision::F32 {
-            self.run_f32(shape, reqs, true)
-        } else {
-            self.run_f64(shape, reqs, true)
+        match shape.precision {
+            Precision::F32 => self.run_gbsv::<f32>(shape, reqs, true),
+            Precision::F64 => self.run_gbsv::<f64>(shape, reqs, true),
         }
     }
 
-    /// GBTRS-only spill path: each lane is one sequential `gbtrs` over its
-    /// retained factors, priced with triangular-solve flops and bytes only
-    /// — the spilled warm batch skips the factorization cost too.
     fn solve_with(
         &self,
         shape: &ShapeKey,
         reqs: &[SolveRequest],
         factors: &[Arc<RetainedFactor>],
     ) -> Result<BatchSolution, BackendError> {
-        let batch = reqs.len();
-        assert_eq!(batch, factors.len(), "one retained factor per request");
-        let l = shape
-            .layout()
-            .map_err(|e| BackendError::Fault(format!("invalid shape {shape}: {e}")))?;
-        for (k, f) in factors.iter().enumerate() {
-            if f.layout != l || f.precision() != shape.precision {
-                return Err(BackendError::Fault(format!(
-                    "lane {k}: retained factor does not match shape {shape}"
-                )));
-            }
+        match shape.precision {
+            Precision::F32 => self.run_gbtrs::<f32>(shape, reqs, factors),
+            Precision::F64 => self.run_gbtrs::<f64>(shape, reqs, factors),
         }
-        let (nrhs, ldb) = (shape.nrhs, l.n);
-        let mut x = Vec::with_capacity(batch);
-        if shape.precision == Precision::F32 {
-            for (r, f) in reqs.iter().zip(factors) {
-                let mut b: Vec<f32> = r.rhs.iter().map(|&v| v as f32).collect();
-                // A retained SPIKE factorization (large-n split operator)
-                // solves through the split warm path; monolithic factors
-                // through the band triangular solve.
-                if let Some(sf) = f.spike_f32() {
-                    spike_solve_retained(sf, &mut b, nrhs);
-                } else {
-                    gbatch_core::gbtrs::gbtrs::<f32>(
-                        Transpose::No,
-                        &l,
-                        f.factors_f32().expect("checked above"),
-                        &f.pivots,
-                        &mut b,
-                        ldb,
-                        nrhs,
-                    );
-                }
-                x.push(b.iter().map(|&v| v as f64).collect());
-            }
-        } else {
-            for (r, f) in reqs.iter().zip(factors) {
-                let mut b = r.rhs.clone();
-                if let Some(sf) = f.spike_f64() {
-                    spike_solve_retained(sf, &mut b, nrhs);
-                } else {
-                    gbatch_core::gbtrs::gbtrs::<f64>(
-                        Transpose::No,
-                        &l,
-                        f.factors_f64().expect("checked above"),
-                        &f.pivots,
-                        &mut b,
-                        ldb,
-                        nrhs,
-                    );
-                }
-                x.push(b);
-            }
-        }
-        let flops = gbatch_cpu::model::gbtrs_flops(&l, nrhs);
-        let mut bytes = gbatch_cpu::model::gbtrs_bytes(&l, nrhs);
-        if shape.precision == Precision::F32 {
-            bytes /= 2.0;
-        }
-        Ok(BatchSolution {
-            x,
-            info: vec![0; batch],
-            service_s: self.cpu.batch_time(batch, flops, bytes),
-        })
     }
 
-    /// Factor-only spill path: sequential `gbtrf` per operator, priced
-    /// with factorization flops and bytes only.
     fn factorize(
         &self,
         shape: &ShapeKey,
         operators: &[&[f64]],
     ) -> Result<FactorOutcome, BackendError> {
-        let l = shape
-            .layout()
-            .map_err(|e| BackendError::Fault(format!("invalid shape {shape}: {e}")))?;
-        let batch = operators.len();
-        let mut factors: RetainedLanes = vec![None; batch];
-        let mut info_out = vec![0i32; batch];
-        if shape.precision == Precision::F32 {
-            for (k, op) in operators.iter().enumerate() {
-                let mut ab: Vec<f32> = op.iter().map(|&v| v as f32).collect();
-                let mut ipiv = vec![0i32; l.m.min(l.n)];
-                let code = gbatch_core::gbtrf::gbtrf::<f32>(&l, &mut ab, &mut ipiv);
-                info_out[k] = code;
-                if code == 0 {
-                    factors[k] = Some(Arc::new(RetainedFactor {
-                        layout: l,
-                        payload: gbatch_core::FactorPayload::F32(ab),
-                        pivots: ipiv,
-                    }));
-                }
-            }
-        } else {
-            for (k, op) in operators.iter().enumerate() {
-                let mut ab = op.to_vec();
-                let mut ipiv = vec![0i32; l.m.min(l.n)];
-                let code = gbatch_core::gbtrf::gbtrf::<f64>(&l, &mut ab, &mut ipiv);
-                info_out[k] = code;
-                if code == 0 {
-                    factors[k] = Some(Arc::new(RetainedFactor {
-                        layout: l,
-                        payload: gbatch_core::FactorPayload::F64(ab),
-                        pivots: ipiv,
-                    }));
-                }
-            }
+        match shape.precision {
+            Precision::F32 => self.run_gbtrf::<f32>(shape, operators),
+            Precision::F64 => self.run_gbtrf::<f64>(shape, operators),
         }
-        let flops = gbatch_cpu::model::gbtrf_flops(&l);
-        let mut bytes = gbatch_cpu::model::gbtrf_bytes(&l);
-        if shape.precision == Precision::F32 {
-            bytes /= 2.0;
-        }
-        Ok(FactorOutcome {
-            factors,
-            info: info_out,
-            service_s: self.cpu.batch_time(batch, flops, bytes),
-        })
     }
 }
 
@@ -1151,6 +893,7 @@ impl SolveBackend for CpuBackend {
 mod tests {
     use super::*;
     use gbatch_core::gbtf2::gbtf2;
+    use gbatch_core::FactorPayload;
 
     fn healthy_request(id: u64, shape: ShapeKey, seed: f64) -> SolveRequest {
         let l = shape.layout().unwrap();
@@ -1333,7 +1076,7 @@ mod tests {
         assert!(out.service_s > 0.0);
         let f = out.factors[0].clone().expect("healthy operator retained");
         assert!(
-            f.spike_f64().is_some(),
+            f.spike::<f64>().is_some(),
             "large-n operator retained as a SPIKE split factorization"
         );
         let sol = gpu

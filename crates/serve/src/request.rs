@@ -50,6 +50,14 @@ pub enum AdmitError {
     },
     /// The shape cannot be served (invalid layout, or `nrhs == 0`).
     UnsupportedShape(String),
+    /// A payload holds a NaN or an infinity. No solve can give such a
+    /// request a finite answer, so it is refused instead of answered.
+    NonFinite {
+        /// Which payload: `"ab"` or `"rhs"`.
+        payload: &'static str,
+        /// Index of the first non-finite entry.
+        index: usize,
+    },
     /// The submission time precedes an already-processed event; the
     /// virtual clock only moves forward.
     NonMonotonicTime {
@@ -77,6 +85,9 @@ impl std::fmt::Display for AdmitError {
                  (ab {expected_ab}, rhs {expected_rhs})"
             ),
             AdmitError::UnsupportedShape(why) => write!(f, "unsupported shape: {why}"),
+            AdmitError::NonFinite { payload, index } => {
+                write!(f, "{payload}[{index}] is not finite")
+            }
             AdmitError::NonMonotonicTime { now_s, clock_s } => write!(
                 f,
                 "submission time {now_s:.6} s precedes the service clock {clock_s:.6} s"
@@ -86,6 +97,16 @@ impl std::fmt::Display for AdmitError {
 }
 
 impl std::error::Error for AdmitError {}
+
+/// Refuse the first NaN or infinity in `ab`, then in `rhs`.
+pub(crate) fn check_finite(ab: &[f64], rhs: &[f64]) -> Result<(), AdmitError> {
+    for (payload, data) in [("ab", ab), ("rhs", rhs)] {
+        if let Some(index) = data.iter().position(|v| !v.is_finite()) {
+            return Err(AdmitError::NonFinite { payload, index });
+        }
+    }
+    Ok(())
+}
 
 /// Terminal status of one request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

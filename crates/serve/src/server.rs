@@ -63,7 +63,7 @@ use crate::bucket::{BucketMap, Bucketed};
 use crate::cache::{CacheConfig, FactorCache, FactorHandle};
 use crate::metrics::{DeviceReport, Metrics, ServeReport};
 use crate::policy::{FlushPolicy, FlushReason};
-use crate::request::{AdmitError, SolveRequest, SolveResponse, SolveStatus};
+use crate::request::{check_finite, AdmitError, SolveRequest, SolveResponse, SolveStatus};
 
 /// Cache tier a request was admitted on. Part of the bucketing key, so
 /// warm (solve-only) and cold (factorize-and-solve) work never share a
@@ -436,6 +436,10 @@ impl Server {
                 got_rhs: req.rhs.len(),
             });
         }
+        if let Err(e) = check_finite(&req.ab, &req.rhs) {
+            self.metrics.rejected += 1;
+            return Err(e);
+        }
 
         let fp = operator_fingerprint(&req.shape, &req.ab);
         let tier = match handle {
@@ -533,6 +537,7 @@ impl Server {
                 got_rhs: shape.rhs_len(),
             }));
         }
+        check_finite(ab, &[]).map_err(FactorizeError::Admit)?;
         let fp = operator_fingerprint(&shape, ab);
         if let Some(column) = self.cache.probe_negative(fp) {
             return Err(FactorizeError::Singular { column });
@@ -1205,6 +1210,51 @@ mod tests {
             AdmitError::NonMonotonicTime { .. }
         ));
         assert!(s.report().is_conserved());
+    }
+
+    #[test]
+    fn non_finite_payloads_are_rejected_at_admission() {
+        let shape = ShapeKey::gbsv(16, 1, 1, 1);
+        let l = shape.layout().unwrap();
+        let mut s = sim_server(ServerConfig::default());
+        let poison = |id: u64, v: f64, in_band: bool| {
+            let mut r = req(id, shape, 0.0, 1.0);
+            if in_band {
+                gbatch_core::BandMatrixMut {
+                    layout: l,
+                    data: &mut r.ab,
+                }
+                .set(2, 2, v);
+            } else {
+                r.rhs[5] = v;
+            }
+            r
+        };
+        for (r, want) in [
+            (poison(0, f64::NAN, true), "ab"),
+            (poison(1, f64::INFINITY, true), "ab"),
+            (poison(2, f64::NAN, false), "rhs"),
+        ] {
+            match s.submit(r).unwrap_err() {
+                AdmitError::NonFinite { payload, .. } => assert_eq!(payload, want),
+                e => panic!("expected NonFinite, got {e:?}"),
+            }
+        }
+        let mut bad = req(3, shape, 0.0, 1.0).ab;
+        bad[l.idx(l.kv(), 0)] = f64::NEG_INFINITY;
+        assert!(matches!(
+            s.factorize(shape, &bad, 0.0).unwrap_err(),
+            FactorizeError::Admit(AdmitError::NonFinite { payload: "ab", .. })
+        ));
+        s.submit(req(4, shape, 0.0, 1.0)).unwrap();
+        s.drain();
+        let out = s.take_responses();
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].status, SolveStatus::Solved);
+        assert!(out[0].x.iter().all(|v| v.is_finite()));
+        let rep = s.report();
+        assert_eq!(rep.rejected, 3);
+        assert!(rep.is_conserved());
     }
 
     #[test]
